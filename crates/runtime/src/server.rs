@@ -22,17 +22,20 @@
 //!
 //! ## Exactness and degradation
 //!
-//! Shards return per-edge contributions tagged with their position in the
-//! boundary chain; the aggregator folds them **in boundary order**, so with
-//! full coverage the result is bit-identical to the synchronous
-//! `stq_core::query::evaluate` fold (floating-point addition happens in the
-//! same order on the same terms). When shards stay silent past the retry
-//! budget — or are skipped because their health slot reads unhealthy or
-//! recovering — each missing edge's contribution is replaced by its
-//! worst-case interval `[−total_outward, +total_inward]` (per-edge lifetime
-//! crossing totals, maintained atomically as events are ingested), which
-//! provably brackets the synchronous value; the answer then carries
-//! `lower`/`upper` bounds, a `coverage < 1`, and the `degraded` flag.
+//! Every answer — served, expired, shed or missed — comes out of one fold
+//! over the plan's boundary chain and one `ServedAnswer` constructor. Shards
+//! return per-edge contributions tagged with their position in the chain;
+//! the fold visits them **in boundary order**, so with full coverage the
+//! result is bit-identical to the synchronous `stq_core::query::evaluate`
+//! fold (floating-point addition happens in the same order on the same
+//! terms). Any edge left unread contributes its worst case
+//! `[−total_outward, +total_inward]` ([`stq_subscribe::worst_case`] over the
+//! per-edge lifetime crossing totals, maintained atomically as events are
+//! ingested), which provably brackets the synchronous value: an edge shed by
+//! brownout, owned by a silent, skipped or circuit-broken shard, refused as
+//! quarantined, migrated away past the last attempt, or never asked because
+//! the deadline expired. The answer then carries `lower`/`upper` bounds, a
+//! `coverage < 1`, and the `degraded` flag.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
@@ -44,7 +47,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use stq_core::degraded::{DegradedAnswer, DegradedAnswerer, DegradedPolicy, DegradedStrategy};
-use stq_core::engine::QueryEngine;
+use stq_core::engine::{QueryEngine, QueryPlan};
 use stq_core::query::{Approximation, QueryKind, QueryRegion};
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
@@ -52,7 +55,7 @@ use stq_core::tracker::Crossing;
 use stq_forms::{BoundaryEdge, ColumnarBatch, FormStore, TrackingForm};
 use stq_net::{DurabilityFaultPlan, FaultPlan};
 use stq_subscribe::{
-    BracketUpdate, RegistryStats, StandingBracket, SubscribeError, SubscriptionId,
+    worst_case, BracketUpdate, RegistryStats, StandingBracket, SubscribeError, SubscriptionId,
     SubscriptionRegistry,
 };
 
@@ -703,17 +706,7 @@ impl Runtime {
     pub fn ingest(&self, c: Crossing) -> Result<(), IngestError> {
         let st = self.state.as_ref().expect("runtime is running");
         check_event(st, &c)?;
-        // The degraded answerer's brackets are certified against the
-        // construction-time store; any new event invalidates them.
-        st.deg_dirty.store(true, Ordering::Release);
-        // Routes the event through the registry: bumps the lifetime totals
-        // (inside the registry lock) and delta-pushes affected brackets.
-        let push_t0 = Instant::now();
-        let obs = st.subs.on_ingest(&c);
-        if obs.deltas > 0 {
-            st.metrics.delta_push_latency.record(push_t0.elapsed().as_micros() as u64);
-            Metrics::add(&st.metrics.deltas_pushed, obs.deltas as u64);
-        }
+        route_to_registry(st, std::slice::from_ref(&c));
         dispatch_one(st, c);
         self.maybe_rebalance(st);
         Ok(())
@@ -741,16 +734,7 @@ impl Runtime {
         if valid.is_empty() {
             return IngestReport { accepted: 0, rejected, lanes: 0 };
         }
-        st.deg_dirty.store(true, Ordering::Release);
-        // One registry lock for the whole batch: totals and standing
-        // brackets advance event by event in input order, exactly as the
-        // sequential path would.
-        let push_t0 = Instant::now();
-        let obs = st.subs.on_ingest_batch(&valid);
-        if obs.deltas > 0 {
-            st.metrics.delta_push_latency.record(push_t0.elapsed().as_micros() as u64);
-            Metrics::add(&st.metrics.deltas_pushed, obs.deltas as u64);
-        }
+        route_to_registry(st, &valid);
         // Ingest pressure surfaces on the read-side admission gate while
         // the batch is in flight, so a write flood degrades reads honestly
         // instead of invisibly starving them.
@@ -859,39 +843,29 @@ impl Runtime {
     /// events (and synced its WAL, when durability is on). Returns each
     /// shard's highest applied sequence number.
     pub fn flush_ingest(&self) -> Vec<u64> {
-        let st = self.state.as_ref().expect("runtime is running");
-        let waits: Vec<Receiver<u64>> = st
-            .to_shards
-            .iter()
-            .map(|tx| {
-                let (ack_tx, ack_rx) = channel::bounded(1);
-                let _ = tx.send(ShardMsg::Flush(ack_tx));
-                ack_rx
-            })
-            .collect();
-        waits
-            .into_iter()
-            .map(|rx| rx.recv_timeout(Duration::from_secs(30)).expect("shard flush"))
-            .collect()
+        self.ask_shards(ShardMsg::Flush, "shard flush")
     }
 
     /// State digest per shard (see `stq_durability::state_digest`) — the
     /// byte-identity witness recovery tests compare across runs.
     pub fn shard_digests(&self) -> Vec<u64> {
+        self.ask_shards(ShardMsg::Digest, "shard digest").into_iter().map(|(_, d)| d).collect()
+    }
+
+    /// Sends every shard one message carrying a reply channel, then
+    /// collects the replies in shard order.
+    fn ask_shards<T>(&self, msg: fn(Sender<T>) -> ShardMsg, what: &str) -> Vec<T> {
         let st = self.state.as_ref().expect("runtime is running");
-        let waits: Vec<Receiver<(usize, u64)>> = st
+        let waits: Vec<Receiver<T>> = st
             .to_shards
             .iter()
             .map(|tx| {
                 let (ack_tx, ack_rx) = channel::bounded(1);
-                let _ = tx.send(ShardMsg::Digest(ack_tx));
+                let _ = tx.send(msg(ack_tx));
                 ack_rx
             })
             .collect();
-        waits
-            .into_iter()
-            .map(|rx| rx.recv_timeout(Duration::from_secs(30)).expect("shard digest").1)
-            .collect()
+        waits.into_iter().map(|rx| rx.recv_timeout(Duration::from_secs(30)).expect(what)).collect()
     }
 
     /// Current health of every shard.
@@ -902,27 +876,9 @@ impl Runtime {
 
     /// Stamps the configured default deadline on specs without one.
     fn with_default_deadline(&self, mut spec: QuerySpec) -> QuerySpec {
-        if spec.deadline.is_none() {
-            if let Some(d) = self
-                .state
-                .as_ref()
-                .and_then(|st| st.overload.as_ref())
-                .and_then(|ov| ov.cfg.default_deadline)
-            {
-                spec.deadline = Some(Instant::now() + d);
-            }
-        }
+        let budget = self.state.as_ref().and_then(|st| st.overload.as_ref()?.cfg.default_deadline);
+        spec.deadline = spec.deadline.or_else(|| budget.map(|d| Instant::now() + d));
         spec
-    }
-
-    /// Serves an already-expired job without any shard traffic: the plan
-    /// (cached) still yields a sound worst-case bracket from the lifetime
-    /// totals, so even a budget-starved client gets honest bounds.
-    fn reply_expired(&self, job: Job) {
-        let st = self.state.as_ref().expect("runtime is running");
-        let answer = expired_answer(st, job.id, &job.spec, Instant::now());
-        record_served(st, &answer);
-        let _ = job.reply.send(answer);
     }
 
     /// Enqueues a query; blocks only when the submission queue is full.
@@ -935,6 +891,7 @@ impl Runtime {
         let spec = self.with_default_deadline(spec);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel::bounded(1);
+        let st = self.state.as_ref().expect("runtime is running");
         let jobs = self.jobs.as_ref().expect("runtime is running");
         let job = Job { id, spec, cost_milli: 0, reply: tx };
         match job.spec.deadline {
@@ -942,13 +899,13 @@ impl Runtime {
             Some(dl) => {
                 let now = Instant::now();
                 if dl <= now {
-                    self.reply_expired(job);
+                    serve(st, job);
                     return PendingAnswer(rx);
                 }
                 match jobs.send_timeout(job, dl - now) {
                     Ok(()) => {}
                     Err(channel::SendTimeoutError::Timeout(job)) => {
-                        self.reply_expired(job);
+                        serve(st, job);
                         return PendingAnswer(rx);
                     }
                     Err(channel::SendTimeoutError::Disconnected(_)) => {
@@ -985,11 +942,7 @@ impl Runtime {
         let job = Job { id, spec, cost_milli, reply: tx };
         if job.spec.deadline.is_some_and(|dl| dl <= Instant::now()) {
             // Expired on arrival: answer straight away, no queue slot.
-            if let Some(ov) = st.overload.as_ref() {
-                ov.release(job.cost_milli);
-            }
-            let job = Job { cost_milli: 0, ..job };
-            self.reply_expired(job);
+            serve(st, job);
             return Ok(PendingAnswer(rx));
         }
         match jobs.try_send(job) {
@@ -1065,6 +1018,21 @@ fn check_event(st: &ServerState, c: &Crossing) -> Result<(), IngestError> {
     Err(err)
 }
 
+/// Routes validated events through the subscription registry under one
+/// lock: it bumps the lifetime totals and delta-pushes affected brackets,
+/// event by event in input order. The degraded answerer's brackets are
+/// certified against the construction-time store, so any new event also
+/// retires them.
+fn route_to_registry(st: &ServerState, events: &[Crossing]) {
+    st.deg_dirty.store(true, Ordering::Release);
+    let push_t0 = Instant::now();
+    let obs = st.subs.on_ingest_batch(events);
+    if obs.deltas > 0 {
+        st.metrics.delta_push_latency.record(push_t0.elapsed().as_micros() as u64);
+        Metrics::add(&st.metrics.deltas_pushed, obs.deltas as u64);
+    }
+}
+
 /// Sequence-stamps one validated event and sends it to its owning shard.
 ///
 /// The lane lock covers the map re-read, trim, sequence assignment, redo
@@ -1093,12 +1061,13 @@ fn dispatch_one(st: &ServerState, c: Crossing) {
     }
 }
 
+/// Answers one job, releases its admission reservation, and records it.
 fn serve(st: &ServerState, job: Job) {
     let start = Instant::now();
-    // Deadline short-circuit at the dispatch hop: a job whose budget ran
-    // out while it sat in the queue is answered from the worst-case totals
-    // without any fan-out.
-    let answer = if job.spec.deadline.is_some_and(|dl| Instant::now() >= dl) {
+    // Deadline short-circuit: a job whose budget ran out — before it was
+    // queued or while it sat in the queue — is answered from the
+    // worst-case totals without any fan-out.
+    let answer = if job.spec.deadline.is_some_and(|dl| start >= dl) {
         expired_answer(st, job.id, &job.spec, start)
     } else {
         compute(st, job.id, &job.spec, start)
@@ -1111,8 +1080,7 @@ fn serve(st: &ServerState, job: Job) {
     let _ = job.reply.send(answer);
 }
 
-/// Folds one served answer into the metric registry and trace ring (shared
-/// by the dispatcher path and the expired-at-submit short-circuit).
+/// Folds one served answer into the metric registry and trace ring.
 fn record_served(st: &ServerState, answer: &ServedAnswer) {
     let m = &st.metrics;
     m.latency.record(answer.latency.as_micros() as u64);
@@ -1170,140 +1138,152 @@ fn record_transition(st: &ServerState, tr: Option<Transition>) {
     }
 }
 
-/// The all-edges-missing bracket of one plan: every boundary edge
-/// contributes its lifetime worst case `[−total_out, +total_in]`, the
-/// estimate is 0. The same monotone `min` / `max(0, ·)` transforms as the
-/// aggregator fold keep the Static-kind bracket sound.
-fn worst_case_bracket(
-    st: &ServerState,
-    plan: &stq_core::engine::QueryPlan,
-    kind: QueryKind,
-) -> (f64, f64, f64) {
-    let (mut lo, mut hi) = (0.0f64, 0.0f64);
-    for be in &plan.boundary {
-        let fwd = st.totals[be.edge][0].load(Ordering::Relaxed) as f64;
-        let bwd = st.totals[be.edge][1].load(Ordering::Relaxed) as f64;
-        let (total_in, total_out) = if be.inward_forward { (fwd, bwd) } else { (bwd, fwd) };
-        lo -= total_out;
-        hi += total_in;
-    }
-    match kind {
-        QueryKind::Snapshot(_) | QueryKind::Transient(..) => (0.0, lo, hi),
-        QueryKind::Static(..) => (0.0, lo.max(0.0), hi.max(0.0)),
-    }
+/// The plan step every answer path shares: the region's (cached) plan, with
+/// its latency and cache outcome recorded in the metrics.
+struct Planned {
+    plan: Arc<QueryPlan>,
+    cache_hit: bool,
+    latency: Duration,
 }
 
-/// Serves a query whose deadline already elapsed: the (cached) plan still
-/// yields a sound worst-case bracket, but no shard is contacted.
-fn expired_answer(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> ServedAnswer {
-    let plan_t0 = Instant::now();
-    let (plan, plan_cache_hit) =
-        st.engine.plan(&st.sensing, &st.sampled, &spec.region, spec.approx);
-    let plan_latency = plan_t0.elapsed();
-    if plan.miss {
-        return ServedAnswer {
-            query_id: id,
-            value: 0.0,
-            lower: 0.0,
-            upper: 0.0,
-            coverage: 0.0,
-            miss: true,
-            degraded: false,
-            strategy: DegradedStrategy::None,
-            confidence: 0.0,
-            quarantined: 0,
-            shards: 0,
-            retries: 0,
-            plan_cache_hit,
-            plan_latency,
-            latency: start.elapsed(),
-            expired: true,
-            brownout: 0,
-        };
-    }
-    let (value, lower, upper) = worst_case_bracket(st, &plan, spec.kind);
-    let coverage = if plan.boundary.is_empty() { 1.0 } else { 0.0 };
-    ServedAnswer {
-        query_id: id,
-        value,
-        lower,
-        upper,
-        coverage,
-        miss: false,
-        degraded: coverage < 1.0,
-        strategy: DegradedStrategy::None,
-        confidence: 0.0,
-        quarantined: 0,
-        shards: 0,
-        retries: 0,
-        plan_cache_hit,
-        plan_latency,
-        latency: start.elapsed(),
-        expired: true,
-        brownout: 0,
-    }
-}
-
-fn compute(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> ServedAnswer {
-    // Plan: resolve the region and derive the boundary chain — or reuse a
-    // cached plan for a region the runtime has served before.
-    let plan_t0 = Instant::now();
-    let (plan, plan_cache_hit) =
-        st.engine.plan(&st.sensing, &st.sampled, &spec.region, spec.approx);
-    let plan_latency = plan_t0.elapsed();
-    st.metrics.plan_latency.record(plan_latency.as_micros() as u64);
-    Metrics::bump(if plan_cache_hit {
+fn plan_step(st: &ServerState, spec: &QuerySpec) -> Planned {
+    let t0 = Instant::now();
+    let (plan, cache_hit) = st.engine.plan(&st.sensing, &st.sampled, &spec.region, spec.approx);
+    let latency = t0.elapsed();
+    st.metrics.plan_latency.record(latency.as_micros() as u64);
+    Metrics::bump(if cache_hit {
         &st.metrics.plan_cache_hits
     } else {
         &st.metrics.plan_cache_misses
     });
-    if plan.miss {
+    Planned { plan, cache_hit, latency }
+}
+
+/// One query's boundary fold: the estimate, its sound bracket, and the
+/// fraction of boundary edges that were read. A missed plan folds nothing:
+/// the all-zero default.
+#[derive(Clone, Copy, Default)]
+struct Fold {
+    value: f64,
+    lower: f64,
+    upper: f64,
+    coverage: f64,
+}
+
+/// Folds a boundary chain in order. A read edge (`Some` slot) contributes
+/// its exact terms; an unread one — whatever the cause — contributes 0 to
+/// the estimate and its [`worst_case`] to the bounds.
+fn fold(
+    st: &ServerState,
+    boundary: &[BoundaryEdge],
+    slots: &[Option<EdgeCounts>],
+    kind: QueryKind,
+) -> Fold {
+    let mut answered = 0usize;
+    let (mut a, mut b, mut lo, mut hi) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for (&be, slot) in boundary.iter().zip(slots) {
+        match *slot {
+            Some(c) => {
+                answered += 1;
+                a += c.a;
+                b += c.b;
+            }
+            None => {
+                let (edge_lo, edge_hi) = worst_case(&st.totals, be);
+                lo += edge_lo;
+                hi += edge_hi;
+            }
+        }
+    }
+    let coverage = if boundary.is_empty() { 1.0 } else { answered as f64 / boundary.len() as f64 };
+    // Every term is an integer count far below 2⁵³, so these sums are exact
+    // in any order: with full coverage `lo == hi == 0` and the estimate is
+    // the synchronous fold's own sum, bit for bit.
+    let value = match kind {
+        QueryKind::Snapshot(_) | QueryKind::Transient(..) => a,
+        QueryKind::Static(..) => a.min(b),
+    };
+    // max(0, ·) is monotone, so clamping the Static-kind endpoints keeps
+    // lower ≤ exact ≤ upper.
+    let clamp = |x: f64| if matches!(kind, QueryKind::Static(..)) { x.max(0.0) } else { x };
+    Fold { value: clamp(value), lower: clamp(value + lo), upper: clamp(value + hi), coverage }
+}
+
+/// What the fan-out contributed to an answer (all zero when no shard was
+/// contacted).
+#[derive(Default)]
+struct Fanout {
+    quarantined: usize,
+    shards: usize,
+    retries: u32,
+    expired: bool,
+    brownout: u8,
+}
+
+impl ServedAnswer {
+    /// Builds every answer. A degraded-mode `repair` replaces the fold's
+    /// estimate and bracket (and rescues a missed plan); `degraded` and
+    /// `latency` are derived, never passed.
+    fn new(
+        id: u64,
+        start: Instant,
+        planned: &Planned,
+        fold: Fold,
+        repair: Option<DegradedAnswer>,
+        fan: Fanout,
+    ) -> Self {
+        let miss = planned.plan.miss && repair.is_none();
+        let (value, lower, upper, strategy, confidence) = match repair {
+            Some(da) => (da.value, da.bracket.lower, da.bracket.upper, da.strategy, da.confidence),
+            None => (fold.value, fold.lower, fold.upper, DegradedStrategy::None, fold.coverage),
+        };
+        ServedAnswer {
+            query_id: id,
+            value,
+            lower,
+            upper,
+            coverage: fold.coverage,
+            miss,
+            degraded: !miss && fold.coverage < 1.0,
+            quarantined: fan.quarantined,
+            shards: fan.shards,
+            retries: fan.retries,
+            strategy,
+            confidence,
+            plan_cache_hit: planned.cache_hit,
+            plan_latency: planned.latency,
+            latency: start.elapsed(),
+            expired: fan.expired,
+            brownout: fan.brownout,
+        }
+    }
+}
+
+/// Serves a query whose deadline already elapsed: no shard is contacted,
+/// so the plan folds with every slot empty.
+fn expired_answer(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> ServedAnswer {
+    let planned = plan_step(st, spec);
+    let boundary = &planned.plan.boundary;
+    let fold = if planned.plan.miss {
+        Fold::default()
+    } else {
+        fold(st, boundary, &vec![None; boundary.len()], spec.kind)
+    };
+    let fan = Fanout { expired: true, ..Fanout::default() };
+    ServedAnswer::new(id, start, &planned, fold, None, fan)
+}
+
+fn compute(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> ServedAnswer {
+    let planned = plan_step(st, spec);
+    if planned.plan.miss {
         // The serving graph cannot cover the region — but the degraded
         // answerer's detour / imputation machinery may still certify a
         // bracket on its repaired graphs.
-        if let Some(da) = consult_degraded(st, spec) {
-            return ServedAnswer {
-                query_id: id,
-                value: da.value,
-                lower: da.bracket.lower,
-                upper: da.bracket.upper,
-                coverage: 0.0,
-                miss: false,
-                degraded: true,
-                strategy: da.strategy,
-                confidence: da.confidence,
-                quarantined: 0,
-                shards: 0,
-                retries: 0,
-                plan_cache_hit,
-                plan_latency,
-                latency: start.elapsed(),
-                expired: false,
-                brownout: 0,
-            };
-        }
-        return ServedAnswer {
-            query_id: id,
-            value: 0.0,
-            lower: 0.0,
-            upper: 0.0,
-            coverage: 0.0,
-            miss: true,
-            degraded: false,
-            strategy: DegradedStrategy::None,
-            confidence: 0.0,
-            quarantined: 0,
-            shards: 0,
-            retries: 0,
-            plan_cache_hit,
-            plan_latency,
-            latency: start.elapsed(),
-            expired: false,
-            brownout: 0,
-        };
+        let repair = consult_degraded(st, spec);
+        return ServedAnswer::new(id, start, &planned, Fold::default(), repair, Fanout::default());
     }
     let exec_t0 = Instant::now();
-    let boundary = &plan.boundary;
+    let boundary = &planned.plan.boundary;
 
     // Brownout: the current precision level picks a boundary-sampling
     // stride. Level 0 serves every edge (the classic path); higher levels
@@ -1316,18 +1296,15 @@ fn compute(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Serve
     // their position in the chain so the aggregate fold preserves term
     // order.
     let mut pending: HashMap<usize, Vec<(usize, BoundaryEdge)>> = HashMap::new();
-    for (idx, be) in plan.shed_boundary(stride_for(level)) {
+    for (idx, be) in planned.plan.shed_boundary(stride_for(level)) {
         pending.entry(st.map.shard_of(be.edge)).or_default().push((idx, be));
     }
-    let fanout = pending.len();
+    let mut fan = Fanout { shards: pending.len(), brownout: level, ..Fanout::default() };
     let mut slots: Vec<Option<EdgeCounts>> = vec![None; boundary.len()];
-    let mut refused_total = 0usize;
     // Bounded per-query response channel (see `ServerState::resp_capacity`);
     // shards `try_send`, so a late answer past the cap is dropped, never a
     // blocked worker.
     let (tx, rx) = channel::bounded::<ShardResponse>(st.resp_capacity.max(1));
-    let mut retries_used = 0u32;
-    let mut expired_mid = false;
 
     let healthy = |shard: usize| st.health[shard].load(Ordering::Acquire) == HEALTHY;
     for attempt in 0..=st.cfg.max_retries {
@@ -1335,7 +1312,7 @@ fn compute(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Serve
         // once the budget is gone — whatever already reported is folded,
         // the rest degrades.
         if spec.deadline.is_some_and(|dl| Instant::now() >= dl) {
-            expired_mid = true;
+            fan.expired = true;
             break;
         }
         // Unhealthy / recovering shards are skipped outright: their edges
@@ -1409,7 +1386,7 @@ fn compute(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Serve
                     // from superseded attempts are ignored.
                     if pending.remove(&resp.shard).is_some() {
                         awaiting.remove(&resp.shard);
-                        refused_total += resp.refused.len();
+                        fan.quarantined += resp.refused;
                         for c in resp.counts {
                             slots[c.idx] = Some(c);
                         }
@@ -1455,62 +1432,17 @@ fn compute(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Serve
             Metrics::bump(&st.metrics.timeouts);
         }
         if attempt < st.cfg.max_retries {
-            retries_used += 1;
+            fan.retries += 1;
             Metrics::bump(&st.metrics.retries);
         }
     }
 
-    // Aggregate in boundary order. A reported edge contributes its exact
-    // terms; a missing edge contributes 0 to the estimate and its lifetime
-    // worst case `[−total_out, +total_in]` to the bounds.
-    let mut answered = 0usize;
-    let (mut est_a, mut lo_a, mut hi_a) = (0.0f64, 0.0f64, 0.0f64);
-    let (mut est_b, mut lo_b, mut hi_b) = (0.0f64, 0.0f64, 0.0f64);
-    for (idx, &be) in boundary.iter().enumerate() {
-        match slots[idx] {
-            Some(c) => {
-                answered += 1;
-                est_a += c.a;
-                lo_a += c.a;
-                hi_a += c.a;
-                est_b += c.b;
-                lo_b += c.b;
-                hi_b += c.b;
-            }
-            None => {
-                let fwd = st.totals[be.edge][0].load(Ordering::Relaxed) as f64;
-                let bwd = st.totals[be.edge][1].load(Ordering::Relaxed) as f64;
-                let (total_in, total_out) = if be.inward_forward { (fwd, bwd) } else { (bwd, fwd) };
-                lo_a -= total_out;
-                hi_a += total_in;
-                lo_b -= total_out;
-                hi_b += total_in;
-            }
-        }
-    }
-    let coverage = if boundary.is_empty() { 1.0 } else { answered as f64 / boundary.len() as f64 };
-    let (mut value, mut lower, mut upper) = match spec.kind {
-        QueryKind::Snapshot(_) | QueryKind::Transient(..) => (est_a, lo_a, hi_a),
-        // min and max(0, ·) are monotone, so applying them to the endpoint
-        // bounds keeps lower ≤ exact ≤ upper.
-        QueryKind::Static(..) => {
-            (est_a.min(est_b).max(0.0), lo_a.min(lo_b).max(0.0), hi_a.min(hi_b).max(0.0))
-        }
-    };
-
+    let fold = fold(st, boundary, &slots, spec.kind);
     // Quarantine-degraded answers escalate through the repair strategies:
     // the certified degraded-mode bracket replaces the worst-case-totals
     // one (whose quarantined-edge terms fold corrupted lifetime counts).
-    let (mut strategy, mut confidence) = (DegradedStrategy::None, coverage);
-    if refused_total > 0 && coverage < 1.0 {
-        if let Some(da) = consult_degraded(st, spec) {
-            value = da.value;
-            lower = da.bracket.lower;
-            upper = da.bracket.upper;
-            strategy = da.strategy;
-            confidence = da.confidence;
-        }
-    }
+    let repair =
+        if fan.quarantined > 0 && fold.coverage < 1.0 { consult_degraded(st, spec) } else { None };
 
     let exec_us = exec_t0.elapsed().as_micros() as u64;
     st.metrics.execute_latency.record(exec_us);
@@ -1530,25 +1462,7 @@ fn compute(st: &ServerState, id: u64, spec: &QuerySpec, start: Instant) -> Serve
             }
         }
     }
-    ServedAnswer {
-        query_id: id,
-        value,
-        lower,
-        upper,
-        coverage,
-        miss: false,
-        degraded: coverage < 1.0,
-        strategy,
-        confidence,
-        quarantined: refused_total,
-        shards: fanout,
-        retries: retries_used,
-        plan_cache_hit,
-        plan_latency,
-        latency: start.elapsed(),
-        expired: expired_mid,
-        brownout: level,
-    }
+    ServedAnswer::new(id, start, &planned, fold, repair, fan)
 }
 
 /// The degraded-mode consult gate: an answerer must be configured, no event

@@ -112,9 +112,9 @@ pub(crate) struct ShardRequest {
 pub(crate) struct ShardResponse {
     pub shard: usize,
     pub counts: Vec<EdgeCounts>,
-    /// Boundary positions this shard refused to serve because the edge is
+    /// Boundary edges this shard refused to serve because the edge is
     /// quarantined by the integrity auditor.
-    pub refused: Vec<usize>,
+    pub refused: usize,
     /// Boundary edges this shard no longer owns — a shard-map migration
     /// moved them while the request was in flight. The aggregator re-routes
     /// them to their current owner.
@@ -412,17 +412,17 @@ impl ShardWorker {
                 Duration::from_millis(fate.delay_ms) * req.edges.len().max(1) as u32,
             );
         }
-        // Audit verdicts gate serving: quarantined edges are refused (their
-        // positions reported so the aggregator can widen soundly), healthy
+        // Audit verdicts gate serving: quarantined edges are refused (left
+        // out of the reply, so the aggregator widens them soundly), healthy
         // ones are computed inside a panic guard — a poisoned payload must
         // surface as a failed response, not kill the worker and hang every
         // later query routed to this shard.
-        let mut refused = Vec::new();
+        let mut refused = 0usize;
         let mut moved: Vec<(usize, BoundaryEdge)> = Vec::new();
         let mut served: Vec<(usize, BoundaryEdge)> = Vec::new();
         for &(idx, be) in &req.edges {
             if self.quarantined.contains(&be.edge) {
-                refused.push(idx);
+                refused += 1;
             } else if !self.forms.contains_key(&be.edge) {
                 // A shard-map migration moved the edge away while this
                 // request was queued: report it back so the aggregator can
@@ -432,8 +432,8 @@ impl ShardWorker {
                 served.push((idx, be));
             }
         }
-        if !refused.is_empty() {
-            Metrics::add(&self.metrics.quarantine_refusals, refused.len() as u64);
+        if refused > 0 {
+            Metrics::add(&self.metrics.quarantine_refusals, refused as u64);
         }
         let poison = fate.poison || self.plan.scheduled_poison(self.id, seen);
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -244,6 +244,12 @@ fn expired_deadline_job_never_reaches_a_shard() {
     assert_eq!(report.shard_requests, 0, "no shard may ever see the expired job");
     assert_eq!(report.deadline_expired, 1);
     assert_eq!(report.queries, 1, "expired answers still count and trace");
+    let engine = rt.engine_stats();
+    assert_eq!(
+        report.plan_cache_hits + report.plan_cache_misses,
+        engine.hits + engine.misses,
+        "the expired path must record its plan lookup"
+    );
     let traces = rt.metrics().recent_traces();
     assert!(traces.iter().any(|t| t.expired));
     rt.shutdown();

@@ -7,7 +7,10 @@ use std::time::Duration;
 use stq_core::prelude::*;
 use stq_core::query::evaluate;
 use stq_forms::FormStore;
-use stq_runtime::{CrashWindow, FaultPlan, QuerySpec, Runtime, RuntimeConfig, ServedAnswer};
+use stq_runtime::{
+    BreakerConfig, BrownoutConfig, CrashWindow, FaultPlan, OverloadConfig, QuerySpec, Runtime,
+    RuntimeConfig, ServedAnswer,
+};
 
 struct Fixture {
     scenario: Scenario,
@@ -298,6 +301,114 @@ fn quarantined_edges_are_refused_and_widen_bounds() {
     let report = rt.metrics().report();
     assert_eq!(report.quarantine_refusals, refused_total as u64);
     assert_eq!(report.shard_panics, 0);
+}
+
+/// The bits every cross-cause comparison checks.
+fn folded_bits(a: &ServedAnswer) -> [u64; 4] {
+    [a.value.to_bits(), a.lower.to_bits(), a.upper.to_bits(), a.coverage.to_bits()]
+}
+
+#[test]
+fn every_unreadable_edge_cause_folds_to_the_same_bits() {
+    // Four ways for a query to read no boundary edge at all — expiry at
+    // submit, every shard crashed, a fully shed brownout, and every edge
+    // quarantined — must all fold the same worst case, bit for bit.
+    const PAST_LAST_EVENT: f64 = 1.0e9;
+    let f = fixture();
+    let regions: Vec<_> = f
+        .scenario
+        .make_queries(60, 0.12, 1_500.0, 71)
+        .into_iter()
+        .filter(|(region, _, _)| !f.sampled.resolve_lower(&region.junctions).is_empty())
+        .take(20)
+        .collect();
+    assert_eq!(regions.len(), 20, "the fixture must yield 20 covered regions");
+
+    let plain = runtime(f, RuntimeConfig { num_shards: 3, ..RuntimeConfig::default() });
+    let down = |node| CrashWindow { node, after_messages: 0, lasts_messages: u64::MAX };
+    let crashed = runtime(
+        f,
+        RuntimeConfig {
+            num_shards: 3,
+            shard_timeout: Duration::from_millis(2),
+            max_retries: 0,
+            fault: FaultPlan::none().with_crash(down(0)).with_crash(down(1)).with_crash(down(2)),
+            ..RuntimeConfig::default()
+        },
+    );
+    // The hair-trigger brownout controller of the overload suite: every
+    // full-precision observation is hot, so the level climbs to a full shed.
+    let shedding = runtime(
+        f,
+        RuntimeConfig {
+            num_shards: 2,
+            dispatchers: 1,
+            overload: Some(OverloadConfig {
+                max_inflight_cost: f64::INFINITY,
+                default_deadline: None,
+                brownout: BrownoutConfig {
+                    queue_high: usize::MAX,
+                    queue_low: 0,
+                    p95_high_us: 1,
+                    p95_low_us: 0,
+                    dwell: 1,
+                    window: 4,
+                },
+                breaker: BreakerConfig { failure_threshold: 0, ..BreakerConfig::default() },
+            }),
+            ..RuntimeConfig::default()
+        },
+    );
+    let every_edge: Vec<usize> = (0..f.scenario.sensing.num_edges()).collect();
+    let quarantined = Runtime::with_quarantine(
+        f.scenario.sensing.clone(),
+        f.sampled.clone(),
+        store(f),
+        RuntimeConfig { num_shards: 3, ..RuntimeConfig::default() },
+        &every_edge,
+    );
+
+    let mut widened = 0usize;
+    for (region, t0, t1) in &regions {
+        for kind in [
+            QueryKind::Snapshot(*t0),
+            QueryKind::Transient(*t0, *t1),
+            QueryKind::Static(*t0, *t1),
+            QueryKind::Snapshot(PAST_LAST_EVENT),
+        ] {
+            let spec = QuerySpec::new(region.clone(), kind, Approximation::Lower);
+            let expired = plain.query(spec.clone().with_budget(Duration::ZERO));
+            assert!(expired.expired && expired.shards == 0);
+            let silent = crashed.query(spec.clone());
+            // The controller oscillates once its window holds only shed
+            // answers; ask again until one is served fully shed.
+            let shed = (0..64)
+                .map(|_| shedding.query(spec.clone()))
+                .find(|a| a.brownout == 3)
+                .expect("the brownout controller must reach a full shed");
+            let refused = quarantined.query(spec.clone());
+            let want = folded_bits(&expired);
+            widened += usize::from(expired.lower < expired.upper);
+            for (cause, got) in [("crashed", &silent), ("shed", &shed), ("quarantined", &refused)] {
+                assert_eq!(folded_bits(got), want, "{kind:?}: {cause} vs expired");
+            }
+            if kind == QueryKind::Snapshot(PAST_LAST_EVENT) {
+                // Past the last event the registry's fold over quarantined
+                // edges is the same worst case, term for term.
+                let sub = quarantined.subscribe(region.clone(), Approximation::Lower).unwrap();
+                let b = sub.baseline;
+                assert_eq!(
+                    [b.value.to_bits(), b.lower.to_bits(), b.upper.to_bits()],
+                    [want[0], want[1], want[2]],
+                    "standing bracket vs folded answer"
+                );
+            }
+        }
+    }
+    assert!(widened > 0, "some brackets must actually widen");
+    for rt in [plain, crashed, shedding, quarantined] {
+        rt.shutdown();
+    }
 }
 
 #[test]

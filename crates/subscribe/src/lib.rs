@@ -68,7 +68,7 @@ use stq_core::query::{Approximation, QueryRegion};
 use stq_core::sampled::SampledGraph;
 use stq_core::sensing::SensingGraph;
 use stq_core::tracker::Crossing;
-use stq_forms::FormStore;
+use stq_forms::{BoundaryEdge, FormStore};
 
 /// Stable handle of one standing subscription.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -437,9 +437,8 @@ impl SubscriptionRegistry {
             let Some(sub) = inner.subs.get_mut(&id) else { continue };
             let entered = c.forward == inward_forward;
             if quarantined {
-                // Mirror of the aggregator's worst case for a refused edge:
-                // the bound it would recompute is ±(lifetime total), so each
-                // event widens the matching endpoint by exactly 1.
+                // Delta form of `worst_case`: its endpoints are ±(lifetime
+                // total), so each event widens the matching one by exactly 1.
                 if entered {
                     sub.bracket.upper += 1.0;
                 } else {
@@ -663,11 +662,23 @@ fn remove_sub(inner: &mut Inner, id: u64) -> bool {
     true
 }
 
+/// The worst case of one boundary edge nobody can read: its lifetime totals
+/// oriented inward, `[−total_out, +total_in]`. Every net inward count the
+/// edge ever reported lies inside, so substituting it for a missing term
+/// keeps any boundary fold sound — the serving runtime's aggregator uses it
+/// for every unread edge, this registry for quarantined ones.
+pub fn worst_case(totals: &[[AtomicU64; 2]], be: BoundaryEdge) -> (f64, f64) {
+    let fwd = totals[be.edge][0].load(Ordering::Relaxed) as f64;
+    let bwd = totals[be.edge][1].load(Ordering::Relaxed) as f64;
+    let (total_in, total_out) = if be.inward_forward { (fwd, bwd) } else { (bwd, fwd) };
+    (-total_out, total_in)
+}
+
 /// The baseline fold: net live occupancy along the plan's boundary, in plan
 /// order — term-for-term the fold the serving runtime's aggregator performs
 /// for a snapshot query at a time past every ingested event. Trusted edges
 /// contribute their net inward count to all three components; quarantined
-/// edges contribute their lifetime worst case to the bounds only.
+/// edges contribute their [`worst_case`] to the bounds only.
 fn fold_bracket(
     plan: &QueryPlan,
     mirror: &Mirror,
@@ -677,10 +688,7 @@ fn fold_bracket(
     let (mut value, mut lower, mut upper) = (0.0f64, 0.0f64, 0.0f64);
     for be in &plan.boundary {
         if mirror.quarantined.contains(&be.edge) {
-            let fwd = totals[be.edge][0].load(Ordering::Relaxed) as f64;
-            let bwd = totals[be.edge][1].load(Ordering::Relaxed) as f64;
-            let (total_in, total_out) = if be.inward_forward { (fwd, bwd) } else { (bwd, fwd) };
-            let (mut edge_lo, mut edge_hi) = (-total_out, total_in);
+            let (mut edge_lo, mut edge_hi) = worst_case(totals, *be);
             if let Some(cert) = mirror.certs.get(&be.edge) {
                 // Certified net forward flow at certify time, widened by the
                 // events since (forward raises the net by ≤ 1 each, backward
@@ -688,6 +696,8 @@ fn fold_bracket(
                 // the lifetime worst case. Both endpoints then move in
                 // lockstep with the worst case, so the ±1 delta rule in
                 // `on_ingest` stays bitwise exact for certified edges too.
+                let fwd = totals[be.edge][0].load(Ordering::Relaxed) as f64;
+                let bwd = totals[be.edge][1].load(Ordering::Relaxed) as f64;
                 let fwd_since = fwd - cert.base[0] as f64;
                 let bwd_since = bwd - cert.base[1] as f64;
                 let (c_lo, c_hi) = if be.inward_forward {
