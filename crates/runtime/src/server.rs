@@ -63,7 +63,7 @@ use crate::metrics::{Metrics, QueryTrace, SubscriptionTrace};
 use crate::overload::{stride_for, Gate, OverloadConfig, OverloadState, Rejected, Transition};
 use crate::shard::{EdgeCounts, ShardHealth, ShardMsg, ShardRequest, ShardResponse, HEALTHY};
 use crate::shardmap::{LoadAwareMap, ModuloMap, RebalanceConfig, ShardMap};
-use crate::supervisor::{IngestLane, Supervisor, SupervisorMsg};
+use crate::supervisor::{advance_subscription_epoch, IngestLane, Supervisor, SupervisorMsg};
 
 /// How often a waiting aggregator re-checks shard health, so a worker dying
 /// mid-attempt shortens the wait to one slice instead of the full timeout.
@@ -415,10 +415,12 @@ impl Runtime {
         Self::with_quarantine(sensing, sampled, store, cfg, &[])
     }
 
-    /// Like [`Runtime::new`], but hands each shard the set of its edges the
-    /// integrity auditor quarantined. The shard keeps the (corrupted) forms
-    /// yet refuses to serve them, so every answer touching a quarantined
-    /// edge comes back with reduced coverage and widened bounds instead of
+    /// Like [`Runtime::new`], but starts with the edges the integrity
+    /// auditor quarantined. They are flagged once, in the subscription
+    /// registry, and every shard worker reads those flags: the owning shard
+    /// keeps the (corrupted) forms yet refuses to serve them, wherever a
+    /// migration moves them, so every answer touching a quarantined edge
+    /// comes back with reduced coverage and widened bounds instead of
     /// silently folding bad data.
     pub fn with_quarantine(
         sensing: SensingGraph,
@@ -460,10 +462,6 @@ impl Runtime {
         };
         let mut parts: Vec<HashMap<usize, TrackingForm>> =
             (0..ns).map(|_| HashMap::new()).collect();
-        let mut bad: Vec<HashSet<usize>> = (0..ns).map(|_| HashSet::new()).collect();
-        for &e in quarantined {
-            bad[map.shard_of(e)].insert(e);
-        }
         for e in 0..store.num_edges() {
             parts[map.shard_of(e)].insert(e, store.form(e).clone());
         }
@@ -492,7 +490,6 @@ impl Runtime {
         let (events_tx, events_rx) = channel::bounded::<SupervisorMsg>(2 * ns + 4);
         let supervisor = Supervisor::start(
             parts,
-            bad,
             cfg.fault.clone(),
             cfg.durability.clone(),
             cfg.panic_threshold,
@@ -645,21 +642,7 @@ impl Runtime {
     /// epoch protocol. Returns the new epoch.
     pub fn resnapshot_subscriptions(&self) -> u64 {
         let st = self.state.as_ref().expect("runtime is running");
-        let updates = st.subs.advance_epoch([]);
-        Metrics::add(&st.metrics.sub_resnapshots, updates.len() as u64);
-        let epoch = st.subs.epoch();
-        st.metrics.sub_epoch.store(epoch, Ordering::Relaxed);
-        for u in &updates {
-            st.metrics.trace_subscription(SubscriptionTrace {
-                subscription: u.subscription.0,
-                epoch: u.epoch,
-                value: u.bracket.value,
-                lower: u.bracket.lower,
-                upper: u.bracket.upper,
-                cause: "resnapshot",
-            });
-        }
-        epoch
+        advance_subscription_epoch(&st.subs, &st.metrics, [])
     }
 
     /// Certifies quarantined-edge flow intervals into the subscription

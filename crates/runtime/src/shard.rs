@@ -18,7 +18,7 @@
 //! panics deterministically. Both exits are reported to the supervisor
 //! (`crate::supervisor`), which recovers state and respawns.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,6 +30,7 @@ use stq_durability::recovery::apply_crossing;
 use stq_durability::{state_digest, ShardDurability};
 use stq_forms::{BoundaryEdge, ColumnarBatch, TrackingForm};
 use stq_net::{DurabilityFaultPlan, FaultPlan, MessageCtx};
+use stq_subscribe::Quarantine;
 
 use crate::metrics::Metrics;
 
@@ -80,14 +81,14 @@ pub(crate) enum ShardMsg {
     /// quiesce step of a shard-map migration. Because the channel is FIFO,
     /// receiving `Retire` proves every previously sent ingest has been
     /// applied — no separate flush barrier is needed.
-    Retire(Sender<RetiredState>),
+    Retire(Sender<WorkerState>),
 }
 
-/// Everything a retiring worker owns, handed to the supervisor so it can
-/// move edge forms between shards and respawn.
-pub(crate) struct RetiredState {
+/// The state one worker incarnation owns: the supervisor spawns every
+/// worker over one (fresh, recovered or retired), and a retiring worker
+/// hands it back so edge forms can move between shards before respawn.
+pub(crate) struct WorkerState {
     pub forms: HashMap<usize, TrackingForm>,
-    pub quarantined: HashSet<usize>,
     pub durability: Option<ShardDurability>,
     pub last_seq: u64,
     pub delivered: u64,
@@ -158,7 +159,6 @@ pub(crate) enum WorkerExit {
 pub(crate) struct WorkerSeed {
     pub id: usize,
     pub forms: HashMap<usize, TrackingForm>,
-    pub quarantined: HashSet<usize>,
     pub plan: FaultPlan,
     pub dfaults: DurabilityFaultPlan,
     pub durability: Option<ShardDurability>,
@@ -173,6 +173,7 @@ pub(crate) struct WorkerSeed {
     pub panic_threshold: u32,
     pub health: Arc<Vec<AtomicU8>>,
     pub durable_seq: Arc<Vec<AtomicU64>>,
+    pub quarantine: Quarantine,
     pub metrics: Arc<Metrics>,
 }
 
@@ -180,9 +181,6 @@ pub(crate) struct WorkerSeed {
 pub(crate) struct ShardWorker {
     id: usize,
     forms: HashMap<usize, TrackingForm>,
-    /// Edges the integrity auditor quarantined: this shard still holds their
-    /// (corrupted) forms but refuses to serve them.
-    quarantined: HashSet<usize>,
     plan: FaultPlan,
     dfaults: DurabilityFaultPlan,
     durability: Option<ShardDurability>,
@@ -192,6 +190,12 @@ pub(crate) struct ShardWorker {
     panic_threshold: u32,
     health: Arc<Vec<AtomicU8>>,
     durable_seq: Arc<Vec<AtomicU64>>,
+    /// The registry's quarantine flags, read at serve time: this shard may
+    /// still hold a quarantined edge's (corrupted) form but refuses to
+    /// serve it. The supervisor spawns a worker only after the recovery's
+    /// epoch advance set its flags, so even a request queued before the
+    /// crash sees them.
+    quarantine: Quarantine,
     metrics: Arc<Metrics>,
 }
 
@@ -200,7 +204,6 @@ impl ShardWorker {
         ShardWorker {
             id: seed.id,
             forms: seed.forms,
-            quarantined: seed.quarantined,
             plan: seed.plan,
             dfaults: seed.dfaults,
             durability: seed.durability,
@@ -210,6 +213,7 @@ impl ShardWorker {
             panic_threshold: seed.panic_threshold,
             health: seed.health,
             durable_seq: seed.durable_seq,
+            quarantine: seed.quarantine,
             metrics: seed.metrics,
         }
     }
@@ -245,9 +249,8 @@ impl ShardWorker {
                     let _ = reply.send((self.id, state_digest(&self.forms)));
                 }
                 ShardMsg::Retire(reply) => {
-                    let state = RetiredState {
+                    let state = WorkerState {
                         forms: std::mem::take(&mut self.forms),
-                        quarantined: std::mem::take(&mut self.quarantined),
                         durability: self.durability.take(),
                         last_seq: self.last_seq,
                         delivered: self.delivered,
@@ -260,7 +263,6 @@ impl ShardWorker {
                             // serving as if the Retire never arrived.
                             let state = err.0;
                             self.forms = state.forms;
-                            self.quarantined = state.quarantined;
                             self.durability = state.durability;
                         }
                     }
@@ -421,7 +423,7 @@ impl ShardWorker {
         let mut moved: Vec<(usize, BoundaryEdge)> = Vec::new();
         let mut served: Vec<(usize, BoundaryEdge)> = Vec::new();
         for &(idx, be) in &req.edges {
-            if self.quarantined.contains(&be.edge) {
+            if self.quarantine.contains(be.edge) {
                 refused += 1;
             } else if !self.forms.contains_key(&be.edge) {
                 // A shard-map migration moved the edge away while this

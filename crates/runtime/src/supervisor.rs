@@ -27,12 +27,17 @@
 //! While a shard recovers its health slot reads `Recovering`; the
 //! aggregator skips it and answers with sound widened `[lower, upper]`
 //! brackets (a skipped edge contributes its lifetime worst case). If the
-//! composition ever *does* have a gap (mid-log damage plus a trimmed
-//! buffer), the supervisor quarantines the whole shard's edges — refusals
-//! widen bounds soundly — rather than serving silently wrong counts; the
-//! full audit → repair pipeline can then be run offline (`stq recover`).
+//! disk is unreadable or the composition ever *does* have a gap (mid-log
+//! damage plus a trimmed buffer), recovery quarantines every edge the map
+//! assigns to the shard — refusals widen bounds soundly — rather than
+//! serving silently wrong counts; the full audit → repair pipeline can then
+//! be run offline (`stq recover`). Quarantine lives only in the
+//! subscription registry: recovery extends it through
+//! [`SubscriptionRegistry::advance_epoch`] before the respawn, and the
+//! workers read the registry's flags, so neither a respawn nor a migration
+//! carries a copy.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -50,7 +55,7 @@ use stq_subscribe::SubscriptionRegistry;
 use crate::metrics::{Metrics, SubscriptionTrace};
 use crate::server::DurabilityConfig;
 use crate::shard::{
-    RetiredState, ShardMsg, ShardWorker, WorkerExit, WorkerSeed, HEALTHY, RECOVERING,
+    ShardMsg, ShardWorker, WorkerExit, WorkerSeed, WorkerState, HEALTHY, RECOVERING,
 };
 use crate::shardmap::{Migration, ShardMap};
 
@@ -103,8 +108,6 @@ pub(crate) struct Supervisor {
     /// recovery replays only redo events past it. Zero at startup; a
     /// migration refreshes the involved bases to the retirement cut.
     base_seq: Vec<u64>,
-    /// Audit quarantine per shard, re-imposed on every respawn.
-    quarantine: Vec<HashSet<usize>>,
     plan: FaultPlan,
     dfaults: DurabilityFaultPlan,
     panic_threshold: u32,
@@ -126,10 +129,6 @@ pub(crate) struct Supervisor {
     /// Senders to the shard channels, needed to post `Retire` during a
     /// migration.
     to_shards: Vec<Sender<ShardMsg>>,
-    /// Edges migrated *away* from each shard. Recovery's redo replay skips
-    /// these (the event's form now lives on another shard) while still
-    /// advancing the sequence floor, so replay stays gapless.
-    migrated_away: Vec<HashSet<usize>>,
     events_tx: Sender<SupervisorMsg>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -141,7 +140,6 @@ impl Supervisor {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         parts: Vec<HashMap<usize, TrackingForm>>,
-        quarantine: Vec<HashSet<usize>>,
         plan: FaultPlan,
         durability: Option<DurabilityConfig>,
         panic_threshold: u32,
@@ -163,7 +161,6 @@ impl Supervisor {
             base: if durability.is_none() { Some(parts.clone()) } else { None },
             base_seq: vec![0; num_shards],
             durability,
-            quarantine,
             plan,
             dfaults,
             panic_threshold,
@@ -176,12 +173,11 @@ impl Supervisor {
             subs,
             map,
             to_shards,
-            migrated_away: vec![HashSet::new(); num_shards],
             events_tx,
             handles: Vec::new(),
         };
         for (i, forms) in parts.into_iter().enumerate() {
-            let shard_durability = sup.durability.as_ref().map(|cfg| {
+            let durability = sup.durability.as_ref().map(|cfg| {
                 ShardDurability::initialize(
                     &cfg.wal_dir,
                     i,
@@ -192,8 +188,7 @@ impl Supervisor {
                 )
                 .expect("initialize shard durability")
             });
-            let quarantined = sup.quarantine[i].clone();
-            sup.spawn_worker(i, forms, quarantined, shard_durability, 0, 0);
+            sup.spawn_worker(i, WorkerState { forms, durability, last_seq: 0, delivered: 0 });
         }
         sup
     }
@@ -235,7 +230,8 @@ impl Supervisor {
         // worker's dedup floor.
         let lanes = Arc::clone(&self.lanes);
         let lane = lanes[shard].lock();
-        let mut extra_quarantine: HashSet<usize> = HashSet::new();
+        // Set when the shard's state is lost; its edges are then quarantined.
+        let mut lost = false;
         let (mut forms, mut last_seq, mut durability) = match &self.durability {
             Some(cfg) => {
                 match recover_shard(&cfg.wal_dir, shard, cfg.snapshot_every, cfg.sync_every) {
@@ -244,10 +240,11 @@ impl Supervisor {
                         (rec.forms, rec.report.recovered_seq, Some(rec.durability))
                     }
                     Err(_) => {
-                        // Disk is unreadable: serve nothing from this shard
-                        // (every edge refused → sound widened bounds) rather
-                        // than guessing at state.
-                        extra_quarantine.extend(lane.buf.iter().map(|&(_, c)| c.edge));
+                        // Disk is unreadable: the forms restart empty, so no
+                        // edge of this shard may be served as exact (every
+                        // edge refused → sound widened bounds) rather than
+                        // guessing at state.
+                        lost = true;
                         (HashMap::new(), lane.next_seq, None)
                     }
                 }
@@ -268,8 +265,7 @@ impl Supervisor {
                 // refusals widen every answer's bounds — and hand the gap to
                 // the offline audit → repair path.
                 Metrics::add(&self.metrics.lost_events, first - last_seq - 1);
-                extra_quarantine.extend(forms.keys().copied());
-                extra_quarantine.extend(lane.buf.iter().map(|&(_, c)| c.edge));
+                lost = true;
                 durability = None;
                 last_seq = first - 1;
             }
@@ -277,23 +273,18 @@ impl Supervisor {
         let mut redone = 0u64;
         let floor = last_seq;
         for &(seq, ref c) in lane.buf.iter().filter(|&&(seq, _)| seq > floor) {
-            if self.migrated_away[shard].contains(&c.edge) {
-                // The edge's form was migrated to another shard after this
-                // event was applied there; replaying it here would recreate
-                // a stale copy. Skip the apply but still advance the floor —
-                // the sequence stream stays gapless. (With durability on,
-                // the migration snapshot advanced the durable floor past
-                // every pre-migration event, so this only fires for the
-                // in-memory redo path.)
-                last_seq = seq;
-                continue;
-            }
-            apply_crossing(&mut forms, c);
-            if let Some(d) = durability.as_mut() {
-                d.append(seq, c, &forms).expect("redo WAL append");
+            // Every buffered event was routed here; one whose edge the map
+            // now assigns elsewhere migrated away after being applied, and
+            // replaying it would recreate a stale copy. Skip the apply but
+            // still advance the floor — the sequence stream stays gapless.
+            if self.map.shard_of(c.edge) == shard {
+                apply_crossing(&mut forms, c);
+                if let Some(d) = durability.as_mut() {
+                    d.append(seq, c, &forms).expect("redo WAL append");
+                }
+                redone += 1;
             }
             last_seq = seq;
-            redone += 1;
         }
         Metrics::add(&self.metrics.redo_replayed, redone);
         if let Some(d) = durability.as_mut() {
@@ -302,10 +293,6 @@ impl Supervisor {
         }
         debug_assert_eq!(last_seq, lane.next_seq, "redo must reach the lane head");
 
-        // Persist any extra quarantine into the supervisor's own set: a
-        // *second* recovery of this shard must re-impose it, not forget it.
-        self.quarantine[shard].extend(extra_quarantine);
-        let quarantined = self.quarantine[shard].clone();
         // Recovery is the one runtime event that can change the serving
         // topology (extra quarantine on unreadable disk or a redo gap), so
         // cached plans are dropped wholesale and recompiled on demand.
@@ -317,20 +304,11 @@ impl Supervisor {
         // in lock-step with the redo replay above), so a delta that raced
         // the crash is overwritten before any post-recovery delta can land
         // on top of it — the bump is atomic with the health flip below as
-        // far as ingest can observe.
-        let resnapped = self.subs.advance_epoch(quarantined.iter().copied());
-        Metrics::add(&self.metrics.sub_resnapshots, resnapped.len() as u64);
-        self.metrics.sub_epoch.store(self.subs.epoch(), Ordering::Relaxed);
-        for u in &resnapped {
-            self.metrics.trace_subscription(SubscriptionTrace {
-                subscription: u.subscription.0,
-                epoch: u.epoch,
-                value: u.bracket.value,
-                lower: u.bracket.lower,
-                upper: u.bracket.upper,
-                cause: "resnapshot",
-            });
-        }
+        // far as ingest can observe. The same advance sets the quarantine
+        // flags of a lost shard before its worker is spawned.
+        let num_edges = self.subs.totals().len();
+        let lost_edges = (0..num_edges).filter(|&e| lost && self.map.shard_of(e) == shard);
+        advance_subscription_epoch(&self.subs, &self.metrics, lost_edges);
         // Health and the respawn counters flip BEFORE the worker spawns
         // (still under the lane lock): everything the new worker
         // acknowledges — flush barriers, digests, query replies — then
@@ -340,7 +318,8 @@ impl Supervisor {
         self.health[shard].store(HEALTHY, Ordering::Release);
         self.metrics.recovering.fetch_sub(1, Ordering::Relaxed);
         Metrics::bump(&self.metrics.shard_respawns);
-        self.spawn_worker(shard, forms, quarantined, durability, last_seq, ev.delivered);
+        let delivered = ev.delivered;
+        self.spawn_worker(shard, WorkerState { forms, durability, last_seq, delivered });
         drop(lane);
         self.metrics.recovery_us.record(t0.elapsed().as_micros() as u64);
     }
@@ -368,7 +347,7 @@ impl Supervisor {
         // reply proves every ingest sent before the lanes froze has been
         // applied — Retire doubles as the quiesce barrier, no separate
         // flush round-trip is needed.
-        let mut retired: HashMap<usize, RetiredState> = HashMap::new();
+        let mut retired: HashMap<usize, WorkerState> = HashMap::new();
         for &s in &involved {
             let (tx, rx) = bounded(1);
             let sent = self.to_shards[s].send(ShardMsg::Retire(tx)).is_ok();
@@ -385,23 +364,16 @@ impl Supervisor {
                     // restores that worker in place — the stale message is
                     // harmless.
                     for (s, st) in retired.drain() {
-                        self.spawn_worker(
-                            s,
-                            st.forms,
-                            st.quarantined,
-                            st.durability,
-                            st.last_seq,
-                            st.delivered,
-                        );
+                        self.spawn_worker(s, st);
                     }
                     Metrics::bump(&self.metrics.rebalance_aborted);
                     return aborted;
                 }
             }
         }
-        // Move the edge forms (and their quarantine flags) between the
-        // retired states. A move whose edge the source no longer holds is
-        // dropped — the plan raced an earlier migration of the same edge.
+        // Move the edge forms between the retired states. A move whose edge
+        // the source no longer holds is dropped — the plan raced an earlier
+        // migration of the same edge.
         let mut committed_moves: Vec<Migration> = Vec::with_capacity(moves.len());
         for &m in &moves {
             let Some(form) = retired.get_mut(&m.from).expect("retired").forms.remove(&m.edge)
@@ -409,26 +381,11 @@ impl Supervisor {
                 continue;
             };
             retired.get_mut(&m.to).expect("retired").forms.insert(m.edge, form);
-            if retired.get_mut(&m.from).expect("retired").quarantined.remove(&m.edge) {
-                retired.get_mut(&m.to).expect("retired").quarantined.insert(m.edge);
-            }
-            if self.quarantine[m.from].remove(&m.edge) {
-                self.quarantine[m.to].insert(m.edge);
-            }
-            self.migrated_away[m.from].insert(m.edge);
-            self.migrated_away[m.to].remove(&m.edge);
             committed_moves.push(m);
         }
         if committed_moves.is_empty() {
             for (s, st) in retired.drain() {
-                self.spawn_worker(
-                    s,
-                    st.forms,
-                    st.quarantined,
-                    st.durability,
-                    st.last_seq,
-                    st.delivered,
-                );
+                self.spawn_worker(s, st);
             }
             Metrics::bump(&self.metrics.rebalance_aborted);
             return aborted;
@@ -458,19 +415,7 @@ impl Supervisor {
         self.map.commit(&committed_moves);
         self.engine.invalidate();
         Metrics::bump(&self.metrics.plan_invalidations);
-        let resnapped = self.subs.advance_epoch(std::iter::empty());
-        Metrics::add(&self.metrics.sub_resnapshots, resnapped.len() as u64);
-        self.metrics.sub_epoch.store(self.subs.epoch(), Ordering::Relaxed);
-        for u in &resnapped {
-            self.metrics.trace_subscription(SubscriptionTrace {
-                subscription: u.subscription.0,
-                epoch: u.epoch,
-                value: u.bracket.value,
-                lower: u.bracket.lower,
-                upper: u.bracket.upper,
-                cause: "resnapshot",
-            });
-        }
+        advance_subscription_epoch(&self.subs, &self.metrics, []);
         Metrics::bump(&self.metrics.rebalances);
         Metrics::add(&self.metrics.edges_migrated, committed_moves.len() as u64);
         self.metrics.map_epoch.store(self.map.epoch(), Ordering::Relaxed);
@@ -478,42 +423,28 @@ impl Supervisor {
         // window queued on the shard channels and are served by the new
         // incarnations against the migrated form set.
         let edges_moved = committed_moves.len();
-        for &s in &involved {
-            let st = retired.remove(&s).expect("retired");
-            self.spawn_worker(
-                s,
-                st.forms,
-                st.quarantined,
-                st.durability,
-                st.last_seq,
-                st.delivered,
-            );
+        for (s, st) in retired.drain() {
+            self.spawn_worker(s, st);
         }
         drop(guards);
         MigrationOutcome { committed: true, edges_moved }
     }
 
-    fn spawn_worker(
-        &mut self,
-        shard: usize,
-        forms: HashMap<usize, TrackingForm>,
-        quarantined: HashSet<usize>,
-        durability: Option<ShardDurability>,
-        last_seq: u64,
-        delivered: u64,
-    ) {
+    /// Spawns a worker for `shard` over `st` — a fresh, recovered or
+    /// retired state alike.
+    fn spawn_worker(&mut self, shard: usize, st: WorkerState) {
         let worker = ShardWorker::new(WorkerSeed {
             id: shard,
-            forms,
-            quarantined,
+            forms: st.forms,
             plan: self.plan.clone(),
             dfaults: self.dfaults.clone(),
-            durability,
-            last_seq,
-            delivered,
+            durability: st.durability,
+            last_seq: st.last_seq,
+            delivered: st.delivered,
             panic_threshold: self.panic_threshold,
             health: Arc::clone(&self.health),
             durable_seq: Arc::clone(&self.durable_seq),
+            quarantine: self.subs.quarantine().clone(),
             metrics: Arc::clone(&self.metrics),
         });
         let rx = self.receivers[shard].clone();
@@ -530,4 +461,29 @@ impl Supervisor {
             .expect("spawn shard worker");
         self.handles.push(handle);
     }
+}
+
+/// Advances the subscription epoch — setting the quarantine flags of
+/// `extra_quarantine` — and records it: the re-snapshot count, the new
+/// epoch, and one trace per re-snapshot bracket. Returns the new epoch.
+pub(crate) fn advance_subscription_epoch(
+    subs: &SubscriptionRegistry,
+    metrics: &Metrics,
+    extra_quarantine: impl IntoIterator<Item = usize>,
+) -> u64 {
+    let resnapped = subs.advance_epoch(extra_quarantine);
+    Metrics::add(&metrics.sub_resnapshots, resnapped.len() as u64);
+    let epoch = subs.epoch();
+    metrics.sub_epoch.store(epoch, Ordering::Relaxed);
+    for u in &resnapped {
+        metrics.trace_subscription(SubscriptionTrace {
+            subscription: u.subscription.0,
+            epoch: u.epoch,
+            value: u.bracket.value,
+            lower: u.bracket.lower,
+            upper: u.bracket.upper,
+            cause: "resnapshot",
+        });
+    }
+    epoch
 }

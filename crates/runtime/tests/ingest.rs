@@ -70,11 +70,18 @@ fn stream(num_edges: usize, n: usize) -> Vec<Crossing> {
         .collect()
 }
 
-/// A hotspot-skewed stream: ~80% of events land on `hot` edges that all
-/// start on the same shard (`e % ns == 0`), the rest spread modulo-evenly.
-fn skewed_stream(num_edges: usize, ns: usize, hot_edges: usize, n: usize) -> Vec<Crossing> {
+/// The `hot_edges` edges a skewed stream concentrates on: all start on the
+/// same shard (`e % ns == 0`).
+fn hot(num_edges: usize, ns: usize, hot_edges: usize) -> Vec<usize> {
     let hot: Vec<usize> = (0..num_edges).step_by(ns).take(hot_edges).collect();
     assert_eq!(hot.len(), hot_edges, "fixture must have enough edges");
+    hot
+}
+
+/// A hotspot-skewed stream: ~80% of events land on the [`hot`] edges, the
+/// rest spread modulo-evenly.
+fn skewed_stream(num_edges: usize, ns: usize, hot_edges: usize, n: usize) -> Vec<Crossing> {
+    let hot = hot(num_edges, ns, hot_edges);
     (0..n)
         .map(|i| Crossing {
             time: 10_000.0 + i as f64 * 0.25,
@@ -315,22 +322,42 @@ fn rebalance_cfg() -> RebalanceConfig {
     RebalanceConfig { check_every: 512, max_moves: 4, decay: 0.5, min_imbalance: 1.1 }
 }
 
+/// Shards and hot edges of the migration scenario.
+const MIG_SHARDS: usize = 3;
+const MIG_HOT: usize = 12;
+
 #[test]
 fn loadaware_map_migrates_and_answers_match_modulo() {
+    migrate_and_match_modulo(&[]);
+}
+
+#[test]
+fn quarantine_follows_migrated_edges_without_handoff() {
+    // Quarantine is one per-edge flag, so the hot edges the load-aware map
+    // migrates stay refused on their new shards with nothing moved by hand.
+    migrate_and_match_modulo(&hot(fixture().scenario.sensing.num_edges(), MIG_SHARDS, MIG_HOT));
+}
+
+/// Runs the skewed stream through a modulo-mapped and a load-aware runtime,
+/// both with `quarantined` edges, and checks that migration is invisible to
+/// every answer.
+fn migrate_and_match_modulo(quarantined: &[usize]) {
     let f = fixture();
     let ne = f.scenario.sensing.num_edges();
-    let ns = 3;
-    let events = skewed_stream(ne, ns, 12, 4_000);
+    let ns = MIG_SHARDS;
+    let events = skewed_stream(ne, ns, MIG_HOT, 4_000);
 
-    let rt_mod = runtime(f, RuntimeConfig { num_shards: ns, ..RuntimeConfig::default() });
-    let rt_bal = runtime(
-        f,
-        RuntimeConfig {
-            num_shards: ns,
-            rebalance: Some(rebalance_cfg()),
-            ..RuntimeConfig::default()
-        },
-    );
+    let mk = |cfg: RuntimeConfig| {
+        let store = &f.scenario.tracked.store;
+        let (sensing, sampled) = (f.scenario.sensing.clone(), f.sampled.clone());
+        Runtime::with_quarantine(sensing, sampled, store, cfg, quarantined)
+    };
+    let rt_mod = mk(RuntimeConfig { num_shards: ns, ..RuntimeConfig::default() });
+    let rt_bal = mk(RuntimeConfig {
+        num_shards: ns,
+        rebalance: Some(rebalance_cfg()),
+        ..RuntimeConfig::default()
+    });
     for chunk in events.chunks(64) {
         rt_mod.ingest_batch(chunk);
         rt_bal.ingest_batch(chunk);
@@ -359,22 +386,26 @@ fn loadaware_map_migrates_and_answers_match_modulo() {
     let im_bal = imbalance(&rt_bal.shard_loads());
     assert!(im_bal < im_mod, "load-aware imbalance {im_bal:.3} must beat modulo {im_mod:.3}");
 
-    // Routing is invisible to answers: both serve the same values.
-    let mut exact_seen = 0usize;
+    // Routing is invisible to answers: both serve the same brackets and
+    // refuse the same edges.
+    let (mut exact_seen, mut refusing) = (0usize, 0usize);
     for spec in specs(f, 5, 31) {
         let a = rt_mod.query(spec.clone());
         let b = rt_bal.query(spec);
         assert_eq!(a.miss, b.miss);
-        if a.coverage == 1.0 && b.coverage == 1.0 {
-            exact_seen += 1;
-            assert_eq!(
-                a.value.to_bits(),
-                b.value.to_bits(),
-                "migrated shards must serve bit-identical answers"
-            );
-        }
+        let bits = |x: &stq_runtime::ServedAnswer| {
+            [x.value, x.lower, x.upper, x.coverage].map(f64::to_bits)
+        };
+        assert_eq!(bits(&a), bits(&b), "migrated shards must serve bit-identical answers");
+        assert_eq!(a.quarantined, b.quarantined, "migrated edges must stay refused");
+        exact_seen += usize::from(a.coverage == 1.0);
+        refusing += usize::from(a.quarantined > 0);
     }
-    assert!(exact_seen > 0, "healthy runs must serve full-coverage answers");
+    if quarantined.is_empty() {
+        assert!(exact_seen > 0, "healthy runs must serve full-coverage answers");
+    } else {
+        assert!(refusing > 0, "some answers must touch a quarantined edge");
+    }
     rt_mod.shutdown();
     rt_bal.shutdown();
 }

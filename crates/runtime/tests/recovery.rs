@@ -268,6 +268,59 @@ fn post_recovery_answers_bracket_the_oracle() {
 }
 
 #[test]
+fn unreadable_snapshot_quarantines_the_whole_shard() {
+    // Shard 0's snapshot is garbage when its worker is killed, so recovery
+    // cannot read its disk and the forms restart empty. Every edge the map
+    // assigns to shard 0 must then be refused — not only the edges still in
+    // the redo buffer — or post-crash events alone would be served as exact.
+    let f = fixture();
+    let ne = f.scenario.sensing.num_edges();
+    let events = stream(ne, 600);
+
+    let mut oracle = f.scenario.tracked.store.clone();
+    for c in &events {
+        oracle.record(c.edge, c.forward, c.time);
+    }
+
+    let dir = tmpdir("garbage");
+    let faults = DurabilityFaultPlan::killing(0x5ad_d15c, &[(0, 40)]);
+    let rt = runtime(
+        f,
+        RuntimeConfig {
+            num_shards: 3,
+            durability: durable_cfg(&dir, faults),
+            ..RuntimeConfig::default()
+        },
+    );
+    std::fs::write(dir.join("shard-0").join("snapshot.bin"), b"not a snapshot").unwrap();
+    // A flush after every event serializes the kill and its recovery.
+    for &c in &events {
+        rt.ingest(c).expect("ingest");
+        rt.flush_ingest();
+    }
+
+    let (mut covered, mut violations) = (0usize, 0usize);
+    for spec in specs(f, 12, 59) {
+        let served = rt.query(spec.clone());
+        let Some(exact) = sync_value(f, &oracle, &spec) else {
+            assert!(served.miss);
+            continue;
+        };
+        covered += 1;
+        if !(served.lower <= exact + 1e-9 && exact <= served.upper + 1e-9) {
+            violations += 1;
+        }
+    }
+    assert!(covered > 0, "the fixture must cover some queries");
+    assert_eq!(violations, 0, "{violations} of {covered} covered answers missed the oracle");
+    let report = rt.metrics().report();
+    assert_eq!(report.shard_respawns, 1, "the scheduled kill must fire once: {report}");
+    assert!(report.quarantine_refusals > 0, "the lost shard's edges must be refused");
+    rt.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn repeated_panics_escalate_then_heal() {
     // Shard 0's sensor firmware panics on its first 6 queries (a persistent
     // fault window, not per-message bad luck). With panic_threshold = 2 the

@@ -48,15 +48,15 @@
 //!
 //! Quarantine extensions and supervisor crash-recovery change the serving
 //! topology out from under a running bracket. [`SubscriptionRegistry::advance_epoch`]
-//! makes that sound: it bumps the registry epoch, absorbs any extra
-//! quarantine, recomputes every subscription's bracket from the mirror
+//! makes that sound: it bumps the registry epoch, sets any extra
+//! [`Quarantine`] flags, recomputes every subscription's bracket from the mirror
 //! (a re-snapshot through the compiled plan), and only then lets deltas
 //! resume — a delta stamped with an old epoch can never survive into a new
 //! one because re-snapshot overwrites the bracket wholesale. The serving
 //! runtime calls this under its ingest-lane lock, atomically with the
 //! shard-health flip.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -227,15 +227,36 @@ struct Mirror {
     /// the accept predicate is `time >= watermark`, the same comparison
     /// `apply_crossing` makes against the form's last timestamp.
     watermark: Vec<[f64; 2]>,
-    /// Edges the integrity auditor (or a recovery fallback) quarantined:
-    /// their shards refuse to serve them, so brackets widen by totals.
-    quarantined: HashSet<usize>,
     /// Certified intervals for quarantined edges: the fold intersects each
     /// with the lifetime worst case, so certificates only ever *tighten*
     /// the widening. Both intersection endpoints move in lockstep with the
     /// worst case under new events, which keeps the ±1 delta rule bitwise
     /// exact.
     certs: HashMap<usize, Certificate>,
+}
+
+/// The per-edge quarantine verdicts — "this edge's data cannot be trusted"
+/// — as lock-free flags. The registry is their only writer (at construction
+/// and in [`SubscriptionRegistry::advance_epoch`], under its lock); clones
+/// are read-only views, so shard workers check the same flags the registry
+/// folds by. A flag is never cleared: a migration moves an edge's form but
+/// not its verdict.
+#[derive(Clone, Debug)]
+pub struct Quarantine(Arc<[AtomicBool]>);
+
+impl Quarantine {
+    /// Whether `edge` is quarantined (false for edges outside the store).
+    pub fn contains(&self, edge: usize) -> bool {
+        self.0.get(edge).is_some_and(|q| q.load(Ordering::Relaxed))
+    }
+
+    fn insert(&self, edges: impl IntoIterator<Item = usize>) {
+        for e in edges {
+            if let Some(q) = self.0.get(e) {
+                q.store(true, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 struct Inner {
@@ -261,6 +282,9 @@ pub struct SubscriptionRegistry {
     /// every ingested event (late or not) *inside* the registry lock, and
     /// shared with the serving runtime, whose degradation bounds read them.
     totals: Arc<Vec<[AtomicU64; 2]>>,
+    /// Quarantined edges: their shards refuse to serve them, so brackets
+    /// widen by totals.
+    quarantine: Quarantine,
     inner: Mutex<Inner>,
     deltas_applied: AtomicU64,
     resnapshots: AtomicU64,
@@ -295,18 +319,16 @@ impl SubscriptionRegistry {
                 form.timestamps(false).last().copied().unwrap_or(f64::NEG_INFINITY),
             ]);
         }
+        let quarantine = Quarantine((0..n).map(|_| AtomicBool::new(false)).collect());
+        quarantine.insert(quarantined);
         SubscriptionRegistry {
             engine,
             totals: Arc::new(totals),
+            quarantine,
             inner: Mutex::new(Inner {
                 epoch: 0,
                 next_id: 0,
-                mirror: Mirror {
-                    counts,
-                    watermark,
-                    quarantined: quarantined.into_iter().collect(),
-                    certs: HashMap::new(),
-                },
+                mirror: Mirror { counts, watermark, certs: HashMap::new() },
                 routes: HashMap::new(),
                 subs: HashMap::new(),
             }),
@@ -322,6 +344,12 @@ impl SubscriptionRegistry {
     /// worst-case degradation bounds). Bumped only by [`Self::on_ingest`].
     pub fn totals(&self) -> &Arc<Vec<[AtomicU64; 2]>> {
         &self.totals
+    }
+
+    /// The shared quarantine flags (shard workers refuse the edges set
+    /// here). Extended only by [`Self::advance_epoch`].
+    pub fn quarantine(&self) -> &Quarantine {
+        &self.quarantine
     }
 
     /// Registers a standing region: compiles (or cache-loads) its plan,
@@ -347,7 +375,8 @@ impl SubscriptionRegistry {
         let inner = &mut *inner;
         let id = inner.next_id;
         inner.next_id += 1;
-        let bracket = fold_bracket(&plan, &inner.mirror, &self.totals, inner.epoch);
+        let bracket =
+            fold_bracket(&plan, &inner.mirror, &self.totals, &self.quarantine, inner.epoch);
         for be in &plan.boundary {
             inner.routes.entry(be.edge).or_default().push((id, be.inward_forward));
         }
@@ -416,7 +445,7 @@ impl SubscriptionRegistry {
         } else {
             self.late_ignored.fetch_add(1, Ordering::Relaxed);
         }
-        let quarantined = inner.mirror.quarantined.contains(&c.edge);
+        let quarantined = self.quarantine.contains(c.edge);
         // A late event on a trusted edge changes nothing a re-execution
         // would see; on a quarantined edge the totals still grew, so the
         // widening below must happen regardless.
@@ -481,7 +510,7 @@ impl SubscriptionRegistry {
         IngestObservation { deltas, late: !accepted }
     }
 
-    /// Starts a new epoch: absorbs `extra_quarantine` into the mirror, then
+    /// Starts a new epoch: sets the flags of `extra_quarantine`, then
     /// re-snapshots **every** subscription's bracket from the mirror through
     /// its compiled plan, stamping it with the new epoch. Returns the pushed
     /// re-snapshot updates (also delivered on each push channel).
@@ -498,7 +527,7 @@ impl SubscriptionRegistry {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         inner.epoch += 1;
-        inner.mirror.quarantined.extend(extra_quarantine);
+        self.quarantine.insert(extra_quarantine);
         let epoch = inner.epoch;
         let mut out = Vec::with_capacity(inner.subs.len());
         let mut dead: Vec<u64> = Vec::new();
@@ -506,7 +535,8 @@ impl SubscriptionRegistry {
         ids.sort_unstable();
         for id in ids {
             let sub = inner.subs.get_mut(&id).expect("subscription present");
-            let bracket = fold_bracket(&sub.plan, &inner.mirror, &self.totals, epoch);
+            let bracket =
+                fold_bracket(&sub.plan, &inner.mirror, &self.totals, &self.quarantine, epoch);
             sub.bracket = bracket;
             let update = BracketUpdate {
                 subscription: SubscriptionId(id),
@@ -591,7 +621,7 @@ impl SubscriptionRegistry {
             return false;
         }
         let mut inner = self.inner.lock();
-        if !inner.mirror.quarantined.contains(&edge) {
+        if !self.quarantine.contains(edge) {
             return false;
         }
         let base = [
@@ -683,11 +713,12 @@ fn fold_bracket(
     plan: &QueryPlan,
     mirror: &Mirror,
     totals: &[[AtomicU64; 2]],
+    quarantine: &Quarantine,
     epoch: u64,
 ) -> StandingBracket {
     let (mut value, mut lower, mut upper) = (0.0f64, 0.0f64, 0.0f64);
     for be in &plan.boundary {
-        if mirror.quarantined.contains(&be.edge) {
+        if quarantine.contains(be.edge) {
             let (mut edge_lo, mut edge_hi) = worst_case(totals, *be);
             if let Some(cert) = mirror.certs.get(&be.edge) {
                 // Certified net forward flow at certify time, widened by the
